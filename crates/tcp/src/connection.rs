@@ -16,6 +16,7 @@
 //! It does not implement timestamps, ECN, or urgent data.
 
 use crate::cc::{AckInfo, CcKind, CongestionControl};
+use crate::retx_queue::{RetxQueue, SegMeta};
 use crate::rtt::RttEstimator;
 use crate::seq::{offset_of, wire_seq};
 use csig_netsim::{
@@ -161,23 +162,6 @@ impl ConnStats {
     }
 }
 
-/// Metadata for one outstanding (sent, unacked) segment.
-#[derive(Debug, Clone, Copy)]
-struct SegMeta {
-    /// Payload bytes.
-    payload: u32,
-    /// Sequence space consumed (payload, +1 if FIN).
-    seq_len: u32,
-    /// FIN flag on this segment.
-    fin: bool,
-    /// Last transmission time.
-    sent_at: SimTime,
-    /// Has this segment ever been retransmitted (Karn)?
-    retx: bool,
-    /// Selectively acknowledged by the peer.
-    sacked: bool,
-}
-
 /// Local (low-32-bit) token value reserved for the delayed-ACK flush.
 const DELACK_TOKEN: u64 = 1 << 31;
 const DELACK_FLUSH: SimDuration = SimDuration::from_millis(40);
@@ -217,15 +201,13 @@ pub struct TcpConnection {
     fin_queued: bool,
     fin_sent: bool,
     fin_acked: bool,
-    segs: BTreeMap<u64, SegMeta>,
+    /// Outstanding segments in offset order, with SACK accounting.
+    segs: RetxQueue,
     /// Highest stream offset ever transmitted (for go-back-N marking).
     high_water: u64,
     dupacks: u32,
     /// NewReno recovery point (`snd_nxt` at loss detection).
     recovery: Option<u64>,
-    /// Bytes of outstanding segments selectively acknowledged (RFC 6675
-    /// pipe accounting).
-    sacked_bytes: u64,
     /// Highest stream offset covered by any SACK block (RFC 6675
     /// loss-inference boundary).
     highest_sacked: u64,
@@ -286,11 +268,10 @@ impl TcpConnection {
             fin_queued: false,
             fin_sent: false,
             fin_acked: false,
-            segs: BTreeMap::new(),
+            segs: RetxQueue::default(),
             high_water: 0,
             dupacks: 0,
             recovery: None,
-            sacked_bytes: 0,
             highest_sacked: 0,
             consec_timeouts: 0,
             peer_rwnd: 64 * 1024,
@@ -345,10 +326,10 @@ impl TcpConnection {
     /// Diagnostic snapshot of sender-side state (debugging aid).
     pub fn debug_state(&self) -> String {
         format!(
-            "state={:?} snd_una={} snd_nxt={} hw={} app_limit={:?} fin(q/s/a)={}{}{} segs={} dupacks={} recovery={:?} rto_armed={} rto={} peer_rwnd={} cwnd={} ssthresh={} rcv_nxt={} ooo={} peer_fin={:?}",
+            "state={:?} snd_una={} snd_nxt={} hw={} app_limit={:?} fin(q/s/a)={}{}{} segs={} sacked={} dupacks={} recovery={:?} rto_armed={} rto={} peer_rwnd={} cwnd={} ssthresh={} rcv_nxt={} ooo={} peer_fin={:?}",
             self.state, self.snd_una, self.snd_nxt, self.high_water, self.app_limit,
             self.fin_queued as u8, self.fin_sent as u8, self.fin_acked as u8,
-            self.segs.len(), self.dupacks, self.recovery, self.rto_armed, self.rtt.rto(),
+            self.segs.len(), self.segs.sacked_bytes(), self.dupacks, self.recovery, self.rto_armed, self.rtt.rto(),
             self.peer_rwnd, self.cc.cwnd(), self.cc.ssthresh(), self.rcv_nxt, self.ooo.len(),
             self.peer_fin_offset,
         )
@@ -538,17 +519,7 @@ impl TcpConnection {
                 let start = offset_of(self.iss.wrapping_add(1), block.0, self.snd_una);
                 let end = offset_of(self.iss.wrapping_add(1), block.1, start);
                 if start < end {
-                    let mut newly = 0u64;
-                    for (_, meta) in self
-                        .segs
-                        .range_mut(start..end)
-                        .filter(|(&s, m)| s + m.seq_len as u64 <= end && !m.sacked)
-                    {
-                        meta.sacked = true;
-                        newly += meta.seq_len as u64;
-                    }
-                    self.sacked_bytes += newly;
-                    if newly > 0 {
+                    if self.segs.mark_sacked(start, end) > 0 {
                         sack_advanced = true;
                     }
                     self.highest_sacked = self.highest_sacked.max(end);
@@ -582,24 +553,10 @@ impl TcpConnection {
 
             // Retire covered segments; pick up a Karn-valid RTT sample
             // from the newest fully-acked, never-retransmitted segment.
-            let mut sample: Option<SimDuration> = None;
-            let covered: Vec<u64> = self
+            let sample = self
                 .segs
-                .range(..data_off.saturating_add(1))
-                .filter(|(&s, m)| s + m.seq_len as u64 <= ack_off)
-                .map(|(&s, _)| s)
-                .collect();
-            for s in covered {
-                let Some(meta) = self.segs.remove(&s) else {
-                    unreachable!("key was just listed from this map")
-                };
-                if meta.sacked {
-                    self.sacked_bytes -= meta.seq_len as u64;
-                }
-                if !meta.retx {
-                    sample = Some(ctx.now().saturating_since(meta.sent_at));
-                }
-            }
+                .retire(ack_off)
+                .map(|sent_at| ctx.now().saturating_since(sent_at));
             if let Some(rtt) = sample {
                 self.rtt.on_sample(rtt);
                 if self.cfg.record_samples {
@@ -718,8 +675,14 @@ impl TcpConnection {
         }
         let in_order = start <= self.rcv_nxt;
         if payload_end > self.rcv_nxt && hdr.payload_len > 0 {
-            self.insert_ooo(start.max(self.rcv_nxt), payload_end);
-            self.drain_in_order();
+            if in_order && self.ooo.is_empty() {
+                // Nothing to merge with: advance directly.
+                self.stats.bytes_received += payload_end - self.rcv_nxt;
+                self.rcv_nxt = payload_end;
+            } else {
+                self.insert_ooo(start.max(self.rcv_nxt), payload_end);
+                self.drain_in_order();
+            }
         }
         // FIN consumes its own sequence position once payload is complete.
         let fin_consumed = match self.peer_fin_offset {
@@ -745,19 +708,17 @@ impl TcpConnection {
         if start >= end {
             return;
         }
-        // Merge [start, end) into the out-of-order interval set.
+        // Merge [start, end) into the out-of-order interval set. Stored
+        // intervals are disjoint and non-touching, so those overlapping
+        // or touching [start, end] are consecutive, ending with the last
+        // one that starts at or before `end`.
         let mut new_start = start;
         let mut new_end = end;
-        let overlapping: Vec<u64> = self
-            .ooo
-            .range(..=end)
-            .filter(|(&_s, &e)| e >= start)
-            .map(|(&s, _)| s)
-            .collect();
-        for s in overlapping {
-            let Some(e) = self.ooo.remove(&s) else {
-                unreachable!("key was just listed from this map")
-            };
+        while let Some((&s, &e)) = self.ooo.range(..=end).next_back() {
+            if e < start {
+                break;
+            }
+            self.ooo.remove(&s);
             new_start = new_start.min(s);
             new_end = new_end.max(e);
         }
@@ -833,16 +794,11 @@ impl TcpConnection {
     /// (IsLost) and also out — unless they have been retransmitted, in
     /// which case the retransmission is in flight.
     fn pipe(&self) -> u64 {
-        let mut pipe = 0u64;
-        for (&off, meta) in &self.segs {
-            if meta.sacked {
-                continue;
-            }
-            if meta.retx || off >= self.highest_sacked {
-                pipe += meta.seq_len as u64;
-            }
-        }
-        pipe
+        self.segs
+            .iter()
+            .filter(|m| !m.sacked && (m.retx || m.offset >= self.highest_sacked))
+            .map(|m| m.seq_len())
+            .sum()
     }
 
     /// Bytes counted against the window when deciding to transmit.
@@ -911,17 +867,14 @@ impl TcpConnection {
                 sack: NO_SACK,
             };
             ctx.send(PacketSpec::tcp(self.flow, self.peer, hdr));
-            self.segs.insert(
+            self.segs.insert(SegMeta {
                 offset,
-                SegMeta {
-                    payload: len,
-                    seq_len: len + if fin_here { 1 } else { 0 },
-                    fin: fin_here,
-                    sent_at: ctx.now(),
-                    retx: is_rexmit,
-                    sacked: false,
-                },
-            );
+                payload: len,
+                fin: fin_here,
+                sent_at: ctx.now(),
+                retx: is_rexmit,
+                sacked: false,
+            });
             self.snd_nxt += len as u64;
             if is_rexmit {
                 self.stats.retransmits += 1;
@@ -959,17 +912,14 @@ impl TcpConnection {
             sack: NO_SACK,
         };
         ctx.send(PacketSpec::tcp(self.flow, self.peer, hdr));
-        self.segs.insert(
+        self.segs.insert(SegMeta {
             offset,
-            SegMeta {
-                payload: 0,
-                seq_len: 1,
-                fin: true,
-                sent_at: ctx.now(),
-                retx: self.snd_nxt < self.high_water,
-                sacked: false,
-            },
-        );
+            payload: 0,
+            fin: true,
+            sent_at: ctx.now(),
+            retx: self.snd_nxt < self.high_water,
+            sacked: false,
+        });
         self.fin_sent = true;
         self.stats.segments_sent += 1;
     }
@@ -992,14 +942,14 @@ impl TcpConnection {
     fn retransmit_front(&mut self, ctx: &mut Ctx, timeout: bool) -> bool {
         let highest = self.highest_sacked;
         let blind_ok = !self.cfg.sack; // NewReno has no loss inference
-        let (&offset, meta) = match self
+        let Some(meta) = self
             .segs
             .iter_mut()
-            .find(|(&s, m)| !m.sacked && (timeout || (!m.retx && (blind_ok || s < highest))))
-        {
-            Some(kv) => kv,
-            None => return false,
+            .find(|m| !m.sacked && (timeout || (!m.retx && (blind_ok || m.offset < highest))))
+        else {
+            return false;
         };
+        let offset = meta.offset;
         meta.retx = true;
         meta.sent_at = ctx.now();
         let payload = meta.payload;
@@ -1124,7 +1074,6 @@ impl TcpConnection {
                 // the receiver already holds are re-acked instantly.
                 self.snd_nxt = self.snd_una;
                 self.segs.clear();
-                self.sacked_bytes = 0;
                 self.highest_sacked = self.snd_una;
                 if self.fin_sent && !self.fin_acked {
                     self.fin_sent = false;

@@ -22,6 +22,7 @@
 pub mod cc;
 pub mod connection;
 pub mod endpoint;
+mod retx_queue;
 pub mod rtt;
 pub mod seq;
 

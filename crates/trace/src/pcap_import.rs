@@ -259,7 +259,8 @@ pub fn parse_pcap_tcp<R: Read>(mut r: R) -> Result<Vec<RawTcpPacket>, ImportErro
 pub enum ServerSelector {
     /// The endpoint using this TCP port.
     Port(u16),
-    /// The endpoint that transmitted the most payload bytes.
+    /// The endpoint that transmitted the most payload bytes; on a tie,
+    /// the one whose first packet comes first in the capture.
     MostBytesSent,
 }
 
@@ -278,11 +279,16 @@ pub fn assemble_capture(packets: &[RawTcpPacket], server: ServerSelector) -> Cap
             }
         }),
         ServerSelector::MostBytesSent => {
-            let mut sent: HashMap<([u8; 4], u16), u64> = HashMap::new();
-            for pkt in packets {
-                *sent.entry((pkt.src_ip, pkt.sport)).or_default() += pkt.payload_len as u64;
+            // Each sender's total and the index of its first packet: a
+            // tie goes to the endpoint that sent first, the same on every
+            // call (map iteration order is random).
+            let mut sent: HashMap<([u8; 4], u16), (u64, usize)> = HashMap::new();
+            for (i, pkt) in packets.iter().enumerate() {
+                sent.entry((pkt.src_ip, pkt.sport)).or_insert((0, i)).0 += pkt.payload_len as u64;
             }
-            sent.into_iter().max_by_key(|&(_, b)| b).map(|(k, _)| k)
+            sent.into_iter()
+                .max_by_key(|&(_, (bytes, first))| (bytes, std::cmp::Reverse(first)))
+                .map(|(key, _)| key)
         }
     };
     let Some(server_key) = server_key else {
@@ -450,6 +456,35 @@ mod tests {
         let packets = parse_pcap_tcp(&buf[..]).unwrap();
         // The 100-byte sender (port 5001) must be chosen automatically.
         let cap = assemble_capture(&packets, ServerSelector::MostBytesSent);
+        assert_eq!(cap.records[0].dir, Direction::Out);
+    }
+
+    #[test]
+    fn server_inference_breaks_ties_by_first_appearance() {
+        let pkt = |src: [u8; 4], sport: u16, dst: [u8; 4], dport: u16| RawTcpPacket {
+            time: SimTime::ZERO,
+            src_ip: src,
+            dst_ip: dst,
+            sport,
+            dport,
+            seq: 1,
+            ack: 1,
+            flags: TcpFlags::ACK,
+            payload_len: 500,
+            window: 65535,
+            sack: NO_SACK,
+        };
+        let (a, b) = ([10, 0, 0, 1], [10, 0, 0, 2]);
+        // Both endpoints sent 500 bytes: the first one seen must win,
+        // on every call.
+        let tied = [pkt(a, 5001, b, 40_000), pkt(b, 40_000, a, 5001)];
+        for _ in 0..64 {
+            let cap = assemble_capture(&tied, ServerSelector::MostBytesSent);
+            assert_eq!(cap.records[0].dir, Direction::Out);
+            assert_eq!(cap.records[1].dir, Direction::In);
+        }
+        // Swapping the packets swaps the winner.
+        let cap = assemble_capture(&[tied[1], tied[0]], ServerSelector::MostBytesSent);
         assert_eq!(cap.records[0].dir, Direction::Out);
     }
 

@@ -10,6 +10,7 @@
 use crate::flow::{FlowTrace, OffsetTracker};
 use csig_netsim::{Direction, PacketRecord, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 
 /// One RTT sample extracted from the trace.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -39,6 +40,11 @@ struct Outstanding {
 /// yields at most one [`RttSample`]. State is bounded by the flow's
 /// in-flight window (the `outstanding` list), not by trace length.
 ///
+/// A range is tracked only when it starts at or past everything sent
+/// before, so `outstanding` is sorted and disjoint: an ACK retires a
+/// prefix of it from the front, and a retransmission finds the ranges
+/// it taints by binary search. Neither allocates.
+///
 /// Offsets are anchored at the first `Out` SYN's ISS, or at the first
 /// outgoing data packet's sequence number if the tap missed the
 /// handshake — the same anchoring the batch function recovers with its
@@ -47,7 +53,7 @@ struct Outstanding {
 #[derive(Debug, Clone, Default)]
 pub struct RttExtractor {
     out_tracker: Option<OffsetTracker>,
-    outstanding: Vec<Outstanding>,
+    outstanding: VecDeque<Outstanding>,
     max_sent_end: u64,
 }
 
@@ -82,13 +88,15 @@ impl RttExtractor {
                     // Retransmission: taint every overlapping outstanding
                     // range (Karn) and do not add a fresh entry — the
                     // eventual ACK cannot be attributed.
-                    for o in self.outstanding.iter_mut() {
-                        if o.start < end && o.end > start {
-                            o.tainted = true;
+                    let first = self.outstanding.partition_point(|o| o.end <= start);
+                    for o in self.outstanding.range_mut(first..) {
+                        if o.start >= end {
+                            break;
                         }
+                        o.tainted = true;
                     }
                 } else {
-                    self.outstanding.push(Outstanding {
+                    self.outstanding.push_back(Outstanding {
                         start,
                         end,
                         sent_at: rec.time,
@@ -107,22 +115,18 @@ impl RttExtractor {
                 let tr = self.out_tracker.as_ref()?; // no data seen yet
                 let ack_off =
                     csig_tcp::seq::offset_of(tr.base().wrapping_add(1), h.ack, self.max_sent_end);
-                // Retire all fully covered segments; the newest clean one
-                // yields the sample for this ACK.
+                // Retire the fully covered prefix; the newest clean range
+                // in it yields the sample for this ACK.
                 let mut best: Option<Outstanding> = None;
-                self.outstanding.retain(|o| {
-                    if o.end <= ack_off {
-                        if !o.tainted {
-                            match best {
-                                Some(b) if b.end >= o.end => {}
-                                _ => best = Some(*o),
-                            }
-                        }
-                        false
-                    } else {
-                        true
+                while let Some(o) = self.outstanding.front() {
+                    if o.end > ack_off {
+                        break;
                     }
-                });
+                    if !o.tainted {
+                        best = Some(*o);
+                    }
+                    self.outstanding.pop_front();
+                }
                 best.map(|o| RttSample {
                     at: rec.time,
                     rtt: rec.time.saturating_since(o.sent_at),
@@ -243,7 +247,7 @@ pub fn bytes_acked_by(trace: &FlowTrace, until: SimTime) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::FlowTrace;
+    use crate::flow::{FlowTrace, OffsetTracker};
     use csig_netsim::{FlowId, NodeId, Packet, PacketId, PacketKind, TcpFlags, TcpHeader, NO_SACK};
 
     const ISS: u32 = 5000;
@@ -256,8 +260,8 @@ mod tests {
         ack: u32,
         len: u32,
         flags: TcpFlags,
-    ) -> csig_netsim::PacketRecord {
-        csig_netsim::PacketRecord {
+    ) -> PacketRecord {
+        PacketRecord {
             time: SimTime::from_micros(t_us),
             dir,
             pkt: Packet {
@@ -395,6 +399,178 @@ mod tests {
         assert_eq!(bytes_acked_by(&t, SimTime::from_micros(41_000)), 1000);
         assert_eq!(bytes_acked_by(&t, SimTime::from_micros(100_000)), 2000);
         assert_eq!(bytes_acked_by(&t, SimTime::from_micros(10)), 0);
+    }
+
+    /// The extractor's previous bookkeeping, kept as the reference: an
+    /// unsorted `Vec` scanned in full on every retransmission and
+    /// filtered with `retain` on every ACK.
+    #[derive(Default)]
+    struct RetainReference {
+        out_tracker: Option<OffsetTracker>,
+        outstanding: Vec<Outstanding>,
+        max_sent_end: u64,
+    }
+
+    impl RetainReference {
+        fn push(&mut self, rec: &PacketRecord) -> Option<RttSample> {
+            let h = rec.pkt.tcp()?;
+            match rec.dir {
+                Direction::Out => {
+                    if h.flags.syn() {
+                        if self.out_tracker.is_none() {
+                            self.out_tracker = Some(OffsetTracker::new(h.seq));
+                        }
+                        return None;
+                    }
+                    if h.payload_len == 0 {
+                        return None;
+                    }
+                    let tracker = self
+                        .out_tracker
+                        .get_or_insert_with(|| OffsetTracker::new(h.seq.wrapping_sub(1)));
+                    let start = tracker.offset(h.seq);
+                    let end = start + h.payload_len as u64;
+                    if start < self.max_sent_end {
+                        for o in self.outstanding.iter_mut() {
+                            if o.start < end && o.end > start {
+                                o.tainted = true;
+                            }
+                        }
+                    } else {
+                        self.outstanding.push(Outstanding {
+                            start,
+                            end,
+                            sent_at: rec.time,
+                            tainted: false,
+                        });
+                        self.max_sent_end = end;
+                    }
+                    None
+                }
+                Direction::In => {
+                    if !h.flags.ack() {
+                        return None;
+                    }
+                    let tr = self.out_tracker.as_ref()?;
+                    let ack_off = csig_tcp::seq::offset_of(
+                        tr.base().wrapping_add(1),
+                        h.ack,
+                        self.max_sent_end,
+                    );
+                    let mut best: Option<Outstanding> = None;
+                    self.outstanding.retain(|o| {
+                        if o.end <= ack_off {
+                            if !o.tainted {
+                                match best {
+                                    Some(b) if b.end >= o.end => {}
+                                    _ => best = Some(*o),
+                                }
+                            }
+                            false
+                        } else {
+                            true
+                        }
+                    });
+                    best.map(|o| RttSample {
+                        at: rec.time,
+                        rtt: rec.time.saturating_since(o.sent_at),
+                        seq_end: o.end,
+                    })
+                }
+            }
+        }
+    }
+
+    /// Decode raw draws into a server-side record stream: new data,
+    /// retransmissions of arbitrary (misaligned) earlier ranges, ACKs
+    /// that advance, repeat or run backwards (reordering), and stray
+    /// SYNs and pure ACKs. `iss` moves the stream across the 32-bit wrap.
+    fn random_stream(iss: u32, syn: bool, draws: &[(u8, u32, u32)]) -> Vec<PacketRecord> {
+        let seq = |off: u64| iss.wrapping_add(1).wrapping_add(off as u32);
+        let mut recs = Vec::new();
+        if syn {
+            recs.push(tcp_rec(Direction::Out, 0, iss, 0, 0, TcpFlags::SYN));
+        }
+        let (mut sent, mut acked) = (0u64, 0u64);
+        for (i, &(kind, a, b)) in draws.iter().enumerate() {
+            let t = 10 * (i as u64 + 1);
+            let len = b % 2896 + 1;
+            match kind {
+                0..=4 => {
+                    recs.push(tcp_rec(Direction::Out, t, seq(sent), 0, len, TcpFlags::ACK));
+                    sent += len as u64;
+                }
+                5 | 6 => {
+                    // Retransmit from anywhere in the unacked window.
+                    let from = acked + a as u64 % (sent - acked + 1);
+                    recs.push(tcp_rec(Direction::Out, t, seq(from), 0, len, TcpFlags::ACK));
+                    sent = sent.max(from + len as u64);
+                }
+                7..=10 => {
+                    acked = (acked + a as u64 % 6000).min(sent);
+                    recs.push(tcp_rec(
+                        Direction::In,
+                        t,
+                        RISS,
+                        seq(acked),
+                        0,
+                        TcpFlags::ACK,
+                    ));
+                }
+                11 => {
+                    // A stale ACK overtaken by newer ones.
+                    let stale = acked.saturating_sub(a as u64 % 6000);
+                    recs.push(tcp_rec(
+                        Direction::In,
+                        t,
+                        RISS,
+                        seq(stale),
+                        0,
+                        TcpFlags::ACK,
+                    ));
+                }
+                12 => recs.push(tcp_rec(
+                    Direction::In,
+                    t,
+                    RISS,
+                    seq(acked),
+                    0,
+                    TcpFlags::ACK,
+                )),
+                13 => recs.push(tcp_rec(
+                    Direction::In,
+                    t,
+                    RISS,
+                    seq(acked),
+                    0,
+                    TcpFlags::SYN,
+                )),
+                _ => recs.push(tcp_rec(Direction::Out, t, seq(sent), 0, 0, TcpFlags::ACK)),
+            }
+        }
+        recs
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn extractor_matches_retain_reference(
+            iss in proptest::prelude::any::<u32>(),
+            syn in proptest::prelude::any::<bool>(),
+            draws in proptest::collection::vec(
+                (0u8..15, proptest::prelude::any::<u32>(), proptest::prelude::any::<u32>()),
+                1..200,
+            ),
+        ) {
+            let recs = random_stream(iss, syn, &draws);
+            let mut fast = RttExtractor::new();
+            let mut reference = RetainReference::default();
+            for rec in &recs {
+                proptest::prop_assert_eq!(fast.push(rec), reference.push(rec));
+                proptest::prop_assert_eq!(fast.outstanding_len(), reference.outstanding.len());
+            }
+        }
     }
 
     #[test]
