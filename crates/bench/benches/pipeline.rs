@@ -8,7 +8,9 @@ use csig_dtree::{Dataset, DecisionTree, TreeParams};
 use csig_features::features_from_samples;
 use csig_netsim::{Capture, LinkConfig, SimDuration, Simulator};
 use csig_tcp::{ClientBehavior, ServerSendPolicy, TcpClientAgent, TcpConfig, TcpServerAgent};
-use csig_trace::{detect_slow_start, extract_rtt_samples, read_pcap, split_flows, write_pcap};
+use csig_trace::{
+    detect_slow_start, extract_rtt_samples, import_pcap, split_flows, write_pcap, ServerSelector,
+};
 use std::hint::black_box;
 
 /// A realistic server-side capture: a 4 MB download over a 20 Mbps /
@@ -98,8 +100,13 @@ fn bench_pipeline(c: &mut Criterion) {
     });
     let mut encoded = Vec::new();
     write_pcap(&cap, &mut encoded).expect("write");
-    g.bench_function("read_6k_pkts", |b| {
-        b.iter(|| black_box(read_pcap(black_box(&encoded[..]), cap.node).expect("read")))
+    g.bench_function("import_6k_pkts", |b| {
+        b.iter(|| {
+            black_box(
+                import_pcap(black_box(&encoded[..]), ServerSelector::MostBytesSent)
+                    .expect("import"),
+            )
+        })
     });
     g.finish();
 }

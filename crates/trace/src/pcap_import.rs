@@ -1,5 +1,5 @@
-//! Import of *foreign* pcap files (real `tcpdump` output), beyond the
-//! round-trip format of [`crate::pcap`].
+//! Import of pcap files: real `tcpdump` output and the files
+//! [`crate::pcap`] writes.
 //!
 //! Supports little-endian microsecond (`0xA1B2C3D4`) and nanosecond
 //! (`0xA1B23C4D`) magics with `LINKTYPE_RAW` (101) or
@@ -10,11 +10,12 @@
 //! sent the most payload bytes.
 //!
 //! Malformed TCP packets are rejected with [`ImportError::Format`]
-//! rather than silently repaired: an option with a declared length of 0
-//! or 1, an option whose length points past the header, a missing
-//! option length byte, and a data offset beyond the captured bytes are
-//! all fatal, because the rest of the header cannot be delimited
-//! trustworthily. Non-TCP and non-IPv4 frames are still skipped.
+//! rather than silently repaired: an IPv4 header length below 20 bytes,
+//! an option with a declared length of 0 or 1, an option whose length
+//! points past the header, a missing option length byte, and a data
+//! offset beyond the captured bytes are all fatal, because the rest of
+//! the header cannot be delimited trustworthily. Non-TCP and non-IPv4
+//! frames are still skipped.
 
 use csig_netsim::{
     Capture, Direction, FlowId, NodeId, Packet, PacketId, PacketKind, SackBlocks, SimTime,
@@ -27,6 +28,8 @@ const MAGIC_MICRO: u32 = 0xA1B2_C3D4;
 const MAGIC_NANO: u32 = 0xA1B2_3C4D;
 const LINKTYPE_ETHERNET: u32 = 1;
 const LINKTYPE_RAW: u32 = 101;
+/// Largest captured frame accepted; a larger `incl_len` is corrupt.
+const MAX_FRAME: usize = 256 * 1024;
 
 /// A TCP packet as parsed from a pcap file, endpoint-agnostic.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,21 +87,20 @@ impl std::error::Error for ImportError {}
 
 // Fixed-width reads at a caller-bounds-checked offset. Plain indexing
 // keeps these panic-free for every call site (each is preceded by a
-// length check) without `expect` on an infallible `try_into`. Shared
-// with the round-trip reader in [`crate::pcap`].
-pub(crate) fn le_u32(b: &[u8], o: usize) -> u32 {
+// length check) without `expect` on an infallible `try_into`.
+fn le_u32(b: &[u8], o: usize) -> u32 {
     u32::from_le_bytes([b[o], b[o + 1], b[o + 2], b[o + 3]])
 }
 
-pub(crate) fn be_u16(b: &[u8], o: usize) -> u16 {
+fn be_u16(b: &[u8], o: usize) -> u16 {
     u16::from_be_bytes([b[o], b[o + 1]])
 }
 
-pub(crate) fn be_u32(b: &[u8], o: usize) -> u32 {
+fn be_u32(b: &[u8], o: usize) -> u32 {
     u32::from_be_bytes([b[o], b[o + 1], b[o + 2], b[o + 3]])
 }
 
-pub(crate) fn ip4(b: &[u8], o: usize) -> [u8; 4] {
+fn ip4(b: &[u8], o: usize) -> [u8; 4] {
     [b[o], b[o + 1], b[o + 2], b[o + 3]]
 }
 
@@ -126,6 +128,10 @@ pub fn parse_pcap_tcp<R: Read>(mut r: R) -> Result<Vec<RawTcpPacket>, ImportErro
 
     let mut packets = Vec::new();
     let mut hdr = [0u8; 16];
+    // One frame buffer for the whole file, sized to each record before
+    // `read_exact` fills it completely, so no earlier frame's bytes are
+    // ever parsed. `MAX_FRAME` bounds how far it grows.
+    let mut data = Vec::new();
     let mut base_sec: Option<u64> = None;
     loop {
         match r.read_exact(&mut hdr) {
@@ -137,10 +143,10 @@ pub fn parse_pcap_tcp<R: Read>(mut r: R) -> Result<Vec<RawTcpPacket>, ImportErro
         let ts_frac = le_u32(&hdr, 4) as u64;
         let incl = le_u32(&hdr, 8) as usize;
         let orig = le_u32(&hdr, 12);
-        if incl > 256 * 1024 {
+        if incl > MAX_FRAME {
             return Err(ImportError::Format("implausible packet length"));
         }
-        let mut data = vec![0u8; incl];
+        data.resize(incl, 0);
         r.read_exact(&mut data)?;
         // Timestamps relative to the first packet's second keeps SimTime
         // in range for multi-year epoch values.
@@ -158,11 +164,14 @@ pub fn parse_pcap_tcp<R: Read>(mut r: R) -> Result<Vec<RawTcpPacket>, ImportErro
                 continue;
             }
         }
-        if ip.len() < 40 || ip[0] >> 4 != 4 {
+        if ip.len() < 40 || ip[0] >> 4 != 4 || ip[9] != 6 {
             continue;
         }
         let ihl = ((ip[0] & 0xF) as usize) * 4;
-        if ip[9] != 6 || ip.len() < ihl + 20 {
+        if ihl < 20 {
+            return Err(ImportError::Format("IPv4 header length below 20 bytes"));
+        }
+        if ip.len() < ihl + 20 {
             continue;
         }
         let ip_total = be_u16(ip, 2) as u32;
@@ -264,11 +273,54 @@ pub enum ServerSelector {
     MostBytesSent,
 }
 
+/// A TCP endpoint: IPv4 address and port.
+type Endpoint = ([u8; 4], u16);
+
+/// One connection seen in the capture: its endpoints in sorted order
+/// and, per endpoint, the payload it sent and the index of its first
+/// packet (`None` if it sent nothing).
+struct Conn {
+    ends: [Endpoint; 2],
+    sent: [Option<(u64, usize)>; 2],
+    flow: Option<FlowId>,
+}
+
 /// Group parsed packets into a server-side [`Capture`]: one synthetic
 /// flow id per 4-tuple, `Out` for packets the server endpoint sent.
+///
+/// One pass gives each packet a connection index, keyed by its
+/// unordered endpoint pair. A packet on the same connection as the one
+/// before it reuses that index without a map lookup, which covers
+/// nearly every packet of a capture where each connection sends in
+/// bursts. Flow ids go to connections in order of first appearance
+/// among packets to or from the server.
 pub fn assemble_capture(packets: &[RawTcpPacket], server: ServerSelector) -> Capture {
+    let mut index: HashMap<[Endpoint; 2], usize> = HashMap::new();
+    let mut conns: Vec<Conn> = Vec::new();
+    let mut conn_of = Vec::with_capacity(packets.len());
+    let mut last: Option<([Endpoint; 2], usize)> = None;
+    for (i, pkt) in packets.iter().enumerate() {
+        let (src, dst) = ((pkt.src_ip, pkt.sport), (pkt.dst_ip, pkt.dport));
+        let ends = if src <= dst { [src, dst] } else { [dst, src] };
+        let c = match last {
+            Some((prev, c)) if prev == ends => c,
+            _ => *index.entry(ends).or_insert_with(|| {
+                conns.push(Conn {
+                    ends,
+                    sent: [None, None],
+                    flow: None,
+                });
+                conns.len() - 1
+            }),
+        };
+        last = Some((ends, c));
+        let side = usize::from(src != ends[0]);
+        conns[c].sent[side].get_or_insert((0, i)).0 += pkt.payload_len as u64;
+        conn_of.push(c);
+    }
+
     // Identify the server endpoint.
-    let server_key: Option<([u8; 4], u16)> = match server {
+    let server_key: Option<Endpoint> = match server {
         ServerSelector::Port(p) => packets.iter().find_map(|pkt| {
             if pkt.sport == p {
                 Some((pkt.src_ip, pkt.sport))
@@ -279,12 +331,19 @@ pub fn assemble_capture(packets: &[RawTcpPacket], server: ServerSelector) -> Cap
             }
         }),
         ServerSelector::MostBytesSent => {
-            // Each sender's total and the index of its first packet: a
-            // tie goes to the endpoint that sent first, the same on every
-            // call (map iteration order is random).
-            let mut sent: HashMap<([u8; 4], u16), (u64, usize)> = HashMap::new();
-            for (i, pkt) in packets.iter().enumerate() {
-                sent.entry((pkt.src_ip, pkt.sport)).or_insert((0, i)).0 += pkt.payload_len as u64;
+            // Each sender's total over its connections and the index of
+            // its first packet: a tie goes to the endpoint that sent
+            // first, the same on every call (map iteration order is
+            // random, but no two senders share a first packet).
+            let mut sent: HashMap<Endpoint, (u64, usize)> = HashMap::new();
+            for conn in &conns {
+                for (end, sent_by) in conn.ends.iter().zip(conn.sent) {
+                    if let Some((bytes, first)) = sent_by {
+                        let total = sent.entry(*end).or_insert((0, first));
+                        total.0 += bytes;
+                        total.1 = total.1.min(first);
+                    }
+                }
             }
             sent.into_iter()
                 .max_by_key(|&(_, (bytes, first))| (bytes, std::cmp::Reverse(first)))
@@ -296,22 +355,16 @@ pub fn assemble_capture(packets: &[RawTcpPacket], server: ServerSelector) -> Cap
     };
 
     let mut cap = Capture::new(NodeId(0));
-    let mut flow_ids: HashMap<([u8; 4], u16, [u8; 4], u16), FlowId> = HashMap::new();
+    cap.records.reserve(packets.len());
     let mut next_flow = 0u32;
     let mut next_id = 0u64;
-    for pkt in packets {
+    for (pkt, &c) in packets.iter().zip(&conn_of) {
         let from_server = (pkt.src_ip, pkt.sport) == server_key;
         let to_server = (pkt.dst_ip, pkt.dport) == server_key;
         if !from_server && !to_server {
             continue; // unrelated traffic in the capture
         }
-        // Canonical tuple: (client, server) ordering.
-        let tuple = if from_server {
-            (pkt.dst_ip, pkt.dport, pkt.src_ip, pkt.sport)
-        } else {
-            (pkt.src_ip, pkt.sport, pkt.dst_ip, pkt.dport)
-        };
-        let flow = *flow_ids.entry(tuple).or_insert_with(|| {
+        let flow = *conns[c].flow.get_or_insert_with(|| {
             let f = FlowId(next_flow);
             next_flow += 1;
             f
@@ -355,6 +408,90 @@ pub fn import_pcap<R: Read>(r: R, server: ServerSelector) -> Result<Capture, Imp
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The two-map `assemble_capture` the connection-index version
+    /// replaced: one map of bytes sent per source endpoint, one of flow
+    /// ids per 4-tuple. Kept as the differential tests' reference.
+    fn reference_assemble_capture(packets: &[RawTcpPacket], server: ServerSelector) -> Capture {
+        // Identify the server endpoint.
+        let server_key: Option<([u8; 4], u16)> = match server {
+            ServerSelector::Port(p) => packets.iter().find_map(|pkt| {
+                if pkt.sport == p {
+                    Some((pkt.src_ip, pkt.sport))
+                } else if pkt.dport == p {
+                    Some((pkt.dst_ip, pkt.dport))
+                } else {
+                    None
+                }
+            }),
+            ServerSelector::MostBytesSent => {
+                // Each sender's total and the index of its first packet: a
+                // tie goes to the endpoint that sent first, the same on every
+                // call (map iteration order is random).
+                let mut sent: HashMap<([u8; 4], u16), (u64, usize)> = HashMap::new();
+                for (i, pkt) in packets.iter().enumerate() {
+                    sent.entry((pkt.src_ip, pkt.sport)).or_insert((0, i)).0 +=
+                        pkt.payload_len as u64;
+                }
+                sent.into_iter()
+                    .max_by_key(|&(_, (bytes, first))| (bytes, std::cmp::Reverse(first)))
+                    .map(|(key, _)| key)
+            }
+        };
+        let Some(server_key) = server_key else {
+            return Capture::new(NodeId(0));
+        };
+
+        let mut cap = Capture::new(NodeId(0));
+        let mut flow_ids: HashMap<([u8; 4], u16, [u8; 4], u16), FlowId> = HashMap::new();
+        let mut next_flow = 0u32;
+        let mut next_id = 0u64;
+        for pkt in packets {
+            let from_server = (pkt.src_ip, pkt.sport) == server_key;
+            let to_server = (pkt.dst_ip, pkt.dport) == server_key;
+            if !from_server && !to_server {
+                continue; // unrelated traffic in the capture
+            }
+            // Canonical tuple: (client, server) ordering.
+            let tuple = if from_server {
+                (pkt.dst_ip, pkt.dport, pkt.src_ip, pkt.sport)
+            } else {
+                (pkt.src_ip, pkt.sport, pkt.dst_ip, pkt.dport)
+            };
+            let flow = *flow_ids.entry(tuple).or_insert_with(|| {
+                let f = FlowId(next_flow);
+                next_flow += 1;
+                f
+            });
+            let dir = if from_server {
+                Direction::Out
+            } else {
+                Direction::In
+            };
+            cap.records.push(csig_netsim::PacketRecord {
+                time: pkt.time,
+                dir,
+                pkt: Packet {
+                    id: PacketId(next_id),
+                    flow,
+                    src: NodeId(u32::from(from_server)),
+                    dst: NodeId(u32::from(!from_server)),
+                    size: pkt.payload_len + TCP_HEADER_BYTES,
+                    sent_at: pkt.time,
+                    kind: PacketKind::Tcp(TcpHeader {
+                        seq: pkt.seq,
+                        ack: pkt.ack,
+                        flags: pkt.flags,
+                        payload_len: pkt.payload_len,
+                        window: pkt.window,
+                        sack: pkt.sack,
+                    }),
+                },
+            });
+            next_id += 1;
+        }
+        cap
+    }
 
     /// Build a microsecond-magic Ethernet pcap with hand-rolled bytes.
     fn synthetic_ethernet_pcap() -> Vec<u8> {
@@ -491,7 +628,7 @@ mod tests {
     #[test]
     fn native_roundtrip_format_also_imports() {
         // Files written by crate::pcap (nanosecond, LINKTYPE_RAW) parse
-        // through the generic importer too.
+        // through the same importer.
         use csig_netsim::{Capture, Packet, PacketKind};
         let mut cap = Capture::new(NodeId(3));
         cap.records.push(csig_netsim::PacketRecord {
@@ -522,17 +659,12 @@ mod tests {
         assert_eq!(packets[0].payload_len, 100);
     }
 
-    /// A nanosecond/RAW pcap holding one TCP packet whose option area
-    /// is exactly `opts` (must be padded to a multiple of 4 bytes).
-    fn pcap_with_options(opts: &[u8]) -> Vec<u8> {
+    /// A raw IPv4/TCP frame (10.0.0.1:5001 → 10.0.0.2:40000) whose
+    /// option area is exactly `opts` (must be padded to a multiple of 4
+    /// bytes).
+    fn frame_with_options(opts: &[u8]) -> Vec<u8> {
         assert!(opts.len().is_multiple_of(4));
         let doff = 20 + opts.len();
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC_NANO.to_le_bytes());
-        buf.extend_from_slice(&[2, 0, 4, 0]);
-        buf.extend_from_slice(&[0u8; 12]);
-        buf.extend_from_slice(&LINKTYPE_RAW.to_le_bytes());
-
         let mut frame = Vec::new();
         frame.push(0x45);
         frame.push(0);
@@ -549,13 +681,53 @@ mod tests {
         frame.extend_from_slice(&65535u16.to_be_bytes());
         frame.extend_from_slice(&[0, 0, 0, 0]);
         frame.extend_from_slice(opts);
+        frame
+    }
 
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        buf.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&frame);
+    /// A nanosecond/RAW pcap holding `frames`, all at time zero.
+    fn raw_pcap(frames: &[&[u8]]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&MAGIC_NANO.to_le_bytes());
+        buf.extend_from_slice(&[2, 0, 4, 0]);
+        buf.extend_from_slice(&[0u8; 12]);
+        buf.extend_from_slice(&LINKTYPE_RAW.to_le_bytes());
+        for frame in frames {
+            buf.extend_from_slice(&[0u8; 8]);
+            buf.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+            buf.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+            buf.extend_from_slice(frame);
+        }
         buf
+    }
+
+    /// A nanosecond/RAW pcap holding one TCP packet whose option area
+    /// is exactly `opts`.
+    fn pcap_with_options(opts: &[u8]) -> Vec<u8> {
+        raw_pcap(&[&frame_with_options(opts)])
+    }
+
+    #[test]
+    fn short_frame_after_a_long_one_parses_as_on_its_own() {
+        // NOP, NOP, SACK with three blocks: a 72-byte frame.
+        let mut opts = vec![1, 1, 5, 26];
+        for v in 1..=6u32 {
+            opts.extend_from_slice(&(v * 1000).to_be_bytes());
+        }
+        let long = frame_with_options(&opts);
+        // Cut inside its options (the data offset overruns the frame),
+        // and cut inside the TCP header (skipped as too short).
+        for tail in [&long[..40], &long[..30]] {
+            let alone = parse_pcap_tcp(&raw_pcap(&[tail])[..]);
+            let after = parse_pcap_tcp(&raw_pcap(&[&long, tail])[..]);
+            match (alone, after) {
+                (Ok(alone), Ok(after)) => {
+                    assert_eq!(after.len(), alone.len() + 1);
+                    assert_eq!(after[1..], alone[..]);
+                }
+                (Err(ImportError::Format(a)), Err(ImportError::Format(b))) => assert_eq!(a, b),
+                other => panic!("{} bytes: alone and after differ: {other:?}", tail.len()),
+            }
+        }
     }
 
     #[test]
@@ -604,13 +776,30 @@ mod tests {
     }
 
     #[test]
+    fn rejects_ipv4_header_length_below_20_bytes() {
+        // IHL 4 (16 bytes) would put the TCP header inside the IP header
+        // at the destination address; an ACK number whose top byte is
+        // 0x50 makes that misplaced header's data offset look valid.
+        let mut buf = pcap_with_options(&[]);
+        let frame = 24 + 16;
+        buf[frame] = 0x44;
+        buf[frame + 28] = 0x50;
+        let err = parse_pcap_tcp(&buf[..]).unwrap_err();
+        assert!(
+            matches!(err, ImportError::Format(m) if m.contains("IPv4 header")),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn rejects_garbage() {
+        // Bad magic, then a file truncated inside its global header.
         assert!(matches!(
-            parse_pcap_tcp(&[0u8; 24][..]),
+            import_pcap(&[0u8; 24][..], ServerSelector::MostBytesSent),
             Err(ImportError::Format(_))
         ));
         assert!(matches!(
-            parse_pcap_tcp(&[0u8; 3][..]),
+            import_pcap(&[0u8; 3][..], ServerSelector::MostBytesSent),
             Err(ImportError::Io(_))
         ));
     }
@@ -633,6 +822,52 @@ mod tests {
             buf.extend_from_slice(&LINKTYPE_ETHERNET.to_le_bytes());
             buf.extend_from_slice(&tail);
             let _ = parse_pcap_tcp(&buf[..]);
+        }
+    }
+
+    proptest::proptest! {
+        /// The connection-index `assemble_capture` gives the same
+        /// capture as the two-map reference. Packets come in runs on
+        /// one endpoint pair (each packet may flip direction) drawn from
+        /// four endpoints, so ties in bytes sent, traffic not involving
+        /// the server, runs and interleavings all occur.
+        #[test]
+        fn prop_assemble_matches_reference(runs in proptest::collection::vec(
+            (0usize..4, 0usize..4, 1usize..5, 0usize..3, proptest::prelude::any::<u8>()),
+            0..30,
+        )) {
+            let ends = [([10, 0, 0, 1], 5001), ([10, 0, 0, 1], 40_000), ([10, 0, 0, 2], 5001), ([10, 0, 0, 2], 40_001)];
+            let payloads = [0u32, 500, 1000];
+            let mut packets = Vec::new();
+            for (a, b, len, p, flips) in runs {
+                for j in 0..len {
+                    let (src, dst) = if flips >> j & 1 == 0 { (ends[a], ends[b]) } else { (ends[b], ends[a]) };
+                    packets.push(RawTcpPacket {
+                        time: SimTime::from_micros(packets.len() as u64),
+                        src_ip: src.0,
+                        dst_ip: dst.0,
+                        sport: src.1,
+                        dport: dst.1,
+                        seq: j as u32,
+                        ack: 1,
+                        flags: TcpFlags::ACK,
+                        payload_len: payloads[(p + j) % 3],
+                        window: 65_535,
+                        sack: NO_SACK,
+                    });
+                }
+            }
+            for sel in [
+                ServerSelector::MostBytesSent,
+                ServerSelector::Port(5001),
+                ServerSelector::Port(40_001),
+                ServerSelector::Port(9),
+            ] {
+                let got = assemble_capture(&packets, sel);
+                let want = reference_assemble_capture(&packets, sel);
+                proptest::prop_assert_eq!(got.node, want.node);
+                proptest::prop_assert_eq!(got.records, want.records);
+            }
         }
     }
 

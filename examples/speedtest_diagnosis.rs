@@ -11,6 +11,7 @@
 //! cargo run --release --example speedtest_diagnosis
 //! ```
 
+use std::io::Write;
 use tcp_congestion_signatures::prelude::*;
 use tcp_congestion_signatures::testbed;
 use tcp_congestion_signatures::trace::write_pcap;
@@ -90,8 +91,10 @@ fn main() {
         // Export the second world's capture as a genuine pcap.
         if external {
             let path = std::env::temp_dir().join("speedtest_external.pcap");
-            let mut file = std::fs::File::create(&path).expect("create pcap");
-            let n = write_pcap(&capture, &mut file).expect("write pcap");
+            let file = std::fs::File::create(&path).expect("create pcap");
+            let mut w = std::io::BufWriter::new(file);
+            let n = write_pcap(&capture, &mut w).expect("write pcap");
+            w.flush().expect("write pcap");
             println!(
                 "  wrote {n} packets to {} (open it in wireshark)",
                 path.display()

@@ -29,6 +29,13 @@ grep -q '"sim.events"' "$obsdir/m1.json" || { echo "verify: snapshot missing sim
 cmp -s "$obsdir/m1.json" "$obsdir/m2.json" || { echo "verify: metrics snapshot differs across --jobs"; exit 1; }
 cmp -s "$obsdir/t1.jsonl" "$obsdir/t2.jsonl" || { echo "verify: trace differs across --jobs"; exit 1; }
 
+echo "==> csig simulate writes the same pcap twice, and csig inspect reads it"
+./target/release/csig simulate --seed 11 --out "$obsdir/a.pcap" >/dev/null 2>&1
+./target/release/csig simulate --seed 11 --out "$obsdir/b.pcap" >/dev/null 2>&1
+cmp -s "$obsdir/a.pcap" "$obsdir/b.pcap" || { echo "verify: csig simulate output differs between runs"; exit 1; }
+./target/release/csig inspect "$obsdir/a.pcap" >"$obsdir/inspect.txt" || { echo "verify: csig inspect failed"; exit 1; }
+grep -Eq '^ *[0-9]+ +[0-9]+ ' "$obsdir/inspect.txt" || { echo "verify: csig inspect listed no flow"; exit 1; }
+
 echo "==> cargo bench --workspace --no-run (benches stay compiling)"
 cargo bench --workspace --no-run
 

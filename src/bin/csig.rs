@@ -21,6 +21,7 @@
 //! `--seed S`, `--progress`) parsed by `csig_exec::cli::CommonArgs`.
 
 use std::fs;
+use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
 
 use csig_core::{train_sweep_with, SignatureClassifier};
@@ -141,7 +142,7 @@ fn load_capture(args: &CommonArgs) -> Result<csig_netsim::Capture, String> {
         None => ServerSelector::MostBytesSent,
     };
     let file = fs::File::open(path).map_err(|e| format!("opening {path}: {e}"))?;
-    import_pcap(file, selector).map_err(|e| e.to_string())
+    import_pcap(BufReader::new(file), selector).map_err(|e| e.to_string())
 }
 
 fn cmd_classify(args: &CommonArgs) -> Result<(), String> {
@@ -195,7 +196,9 @@ fn cmd_simulate(args: &CommonArgs) -> Result<(), String> {
         .run_until(tb.test_end + SimDuration::from_millis(500));
     let capture = tb.sim.take_capture(cap);
     let file = fs::File::create(&out).map_err(|e| format!("creating {out}: {e}"))?;
-    let n = write_pcap(&capture, file).map_err(|e| e.to_string())?;
+    let mut w = BufWriter::new(file);
+    let n = write_pcap(&capture, &mut w).map_err(|e| format!("writing {out}: {e}"))?;
+    w.flush().map_err(|e| format!("writing {out}: {e}"))?;
     eprintln!("wrote {n} packets to {out}");
     Ok(())
 }

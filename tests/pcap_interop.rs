@@ -5,7 +5,7 @@
 
 use tcp_congestion_signatures::prelude::*;
 use tcp_congestion_signatures::testbed;
-use tcp_congestion_signatures::trace::{read_pcap, write_pcap};
+use tcp_congestion_signatures::trace::{import_pcap, write_pcap, ServerSelector};
 
 #[test]
 fn verdict_survives_pcap_roundtrip() {
@@ -36,7 +36,7 @@ fn verdict_survives_pcap_roundtrip() {
     let mut buf = Vec::new();
     let n = write_pcap(&capture, &mut buf).expect("export");
     assert!(n > 1000, "only {n} packets exported");
-    let imported = read_pcap(&buf[..], capture.node).expect("import");
+    let imported = import_pcap(&buf[..], ServerSelector::MostBytesSent).expect("import");
 
     // Offline verdicts agree exactly.
     let offline = analyze_capture(&clf, &imported);
