@@ -5,20 +5,25 @@
 //!
 //! # Design
 //!
-//! A plain `BinaryHeap` costs `O(log n)` comparisons (on ~40-byte
-//! entries) per push and pop. Simulation events are overwhelmingly
-//! short-horizon — link services, packet deliveries and RTO timers all
-//! land within a few hundred milliseconds of *now* — so a calendar
-//! queue (Brown 1988) fits: time is divided into fixed-width buckets
-//! and an event is pushed onto its bucket's unsorted `Vec` in `O(1)`.
+//! A plain `BinaryHeap` costs `O(log n)` comparisons and entry moves
+//! per push and pop. Simulation events are overwhelmingly short-horizon
+//! — link services, packet deliveries and RTO timers all land within a
+//! few hundred milliseconds of *now* — so a calendar queue (Brown 1988)
+//! fits: time is divided into fixed-width buckets and an event is
+//! pushed onto its bucket's unsorted `Vec` in `O(1)`.
 //!
 //! Three tiers hold every pending event, keyed by the event's absolute
 //! bucket number `b(t) = t >> BUCKET_WIDTH_SHIFT` relative to the wheel
 //! cursor `wheel_pos`:
 //!
-//! * **near** (`b ≤ wheel_pos`): a small `(time, seq)` min-heap that
-//!   hands out events in exact order. Only events about to fire live
-//!   here, so the heap stays shallow.
+//! * **near** (`b ≤ wheel_pos`): a short run kept sorted by
+//!   `(time, seq)` and popped from its front. Only events about to fire
+//!   live here — a few at a time in a real cell — and most pushes land
+//!   at either end of the run: after everything in it, or at the
+//!   current instant ahead of later events. It is a `VecDeque`, whose
+//!   `insert` shifts the shorter side, so neither end shifts the whole
+//!   run; a push behind a long same-instant burst (every host's `Start`
+//!   at t = 0) is an append.
 //! * **wheel** (`wheel_pos < b ≤ wheel_pos + NUM_BUCKETS`): one
 //!   unsorted `Vec` per bucket. Within this window the mapping
 //!   `b → b % NUM_BUCKETS` is injective, so each slot holds exactly one
@@ -28,13 +33,14 @@
 //!   min-heap for far-future events (idle-connection RTOs, scheduled
 //!   faults). Drained into the wheel as the cursor advances.
 //!
-//! When the near heap runs dry, the cursor advances to the next
-//! occupied bucket (or jumps straight to the overflow minimum) and
-//! migrates that single bucket into the near heap. Ordering is exact:
-//! every event outside `near` has a strictly larger bucket number —
-//! hence a strictly larger time — than everything inside it, and the
-//! near heap orders by `(time, seq)`, so the global pop sequence is
-//! identical to the reference heap's.
+//! When the near run is empty, the cursor advances to the next
+//! occupied bucket (or jumps straight to the overflow minimum); that
+//! bucket's `Vec` becomes the near run and is sorted by `(time, seq)`.
+//! Ordering is exact: every event outside `near` has a strictly larger
+//! bucket number — hence a strictly larger time — than everything
+//! inside it, and `near` is sorted by the unique key `(time, seq)`, so
+//! the global pop sequence is identical to the reference heap's. Keys
+//! are unique, so the unstable sort is deterministic too.
 
 use crate::fault::FaultAction;
 use crate::ids::{LinkId, NodeId};
@@ -42,7 +48,7 @@ use crate::link::LinkConfig;
 use crate::pool::PacketHandle;
 use crate::time::SimTime;
 use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Opaque timer payload an agent chooses when arming a timer and gets
 /// back when it fires. Agents typically encode a generation counter so
@@ -64,7 +70,9 @@ pub enum EventKind {
     /// so the rare reconfiguration does not widen every event entry.
     LinkReconfig(LinkId, Box<LinkConfig>),
     /// A scheduled fault (down/up flap, rate or delay step) fires.
-    LinkFault(LinkId, FaultAction),
+    /// Boxed for the same reason: unboxed, it makes every entry 40
+    /// bytes instead of 32.
+    LinkFault(LinkId, Box<FaultAction>),
 }
 
 /// A pending event: firing time, FIFO tie-break, payload.
@@ -109,9 +117,9 @@ const BITMAP_WORDS: usize = NUM_BUCKETS / 64;
 /// near-O(1) push/pop for short-horizon events.
 #[derive(Debug)]
 pub struct EventQueue {
-    /// Events in buckets at or before the cursor; exact `(time, seq)`
-    /// min-heap — the only tier pops come from.
-    near: BinaryHeap<Reverse<EventEntry>>,
+    /// Events in buckets at or before the cursor, sorted ascending by
+    /// `(time, seq)` — the only tier pops come from.
+    near: VecDeque<EventEntry>,
     /// One unsorted vec per wheel bucket.
     slots: Vec<Vec<EventEntry>>,
     /// Bit per slot: set iff the slot is non-empty.
@@ -144,7 +152,7 @@ impl EventQueue {
     /// An empty queue.
     pub fn new() -> Self {
         EventQueue {
-            near: BinaryHeap::new(),
+            near: VecDeque::new(),
             slots: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
             occupied: [0; BITMAP_WORDS],
             wheel_pos: 0,
@@ -164,16 +172,11 @@ impl EventQueue {
         let b = bucket_of(time);
         if b <= self.wheel_pos {
             // At or behind the cursor (the cursor may sit past *now*
-            // after skipping idle stretches): the near heap absorbs it
+            // after skipping idle stretches): the near run absorbs it
             // and keeps exact order.
-            self.near.push(Reverse(entry));
+            self.insert_near(entry);
         } else if b - self.wheel_pos <= NUM_BUCKETS as u64 {
-            let s = (b % NUM_BUCKETS as u64) as usize;
-            if self.slots[s].is_empty() {
-                self.occupied[s / 64] |= 1u64 << (s % 64);
-            }
-            self.slots[s].push(entry);
-            self.wheel_len += 1;
+            self.push_slot(b, entry);
         } else {
             self.overflow.push(Reverse(entry));
         }
@@ -186,19 +189,30 @@ impl EventQueue {
         self.high_water
     }
 
-    /// Earliest pending event time. Takes `&mut self` because it may
-    /// advance the wheel cursor to expose the minimum.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    /// Pop the earliest event if it fires at or before `horizon`.
+    /// Otherwise nothing is removed and the error carries the earliest
+    /// pending time, or `None` when the queue is empty. Settles the
+    /// tiers once per call, so an event loop built on it settles once
+    /// per event.
+    pub fn pop_due(&mut self, horizon: SimTime) -> Result<EventEntry, Option<SimTime>> {
         self.settle();
-        self.near.peek().map(|Reverse(e)| e.time)
+        match self.near.pop_front() {
+            None => Err(None),
+            Some(e) if e.time > horizon => {
+                let next = e.time;
+                self.near.push_front(e);
+                Err(Some(next))
+            }
+            Some(e) => {
+                self.len -= 1;
+                Ok(e)
+            }
+        }
     }
 
     /// Pop the earliest event.
     pub fn pop(&mut self) -> Option<EventEntry> {
-        self.settle();
-        let Reverse(e) = self.near.pop()?;
-        self.len -= 1;
-        Some(e)
+        self.pop_due(SimTime::MAX).ok()
     }
 
     /// Number of pending events.
@@ -211,7 +225,31 @@ impl EventQueue {
         self.len == 0
     }
 
-    /// Advance the cursor until the near heap holds the global minimum
+    /// Insert into the sorted near run: an append when the entry sorts
+    /// last (a push carries the highest seq so far, so it often does),
+    /// otherwise a binary search plus a shift of the shorter side.
+    fn insert_near(&mut self, entry: EventEntry) {
+        match self.near.back() {
+            Some(last) if *last > entry => {
+                let pos = self.near.partition_point(|e| *e < entry);
+                self.near.insert(pos, entry);
+            }
+            _ => self.near.push_back(entry),
+        }
+    }
+
+    /// Append to the wheel slot of bucket `b` (which must be in the
+    /// window).
+    fn push_slot(&mut self, b: u64, entry: EventEntry) {
+        let s = (b % NUM_BUCKETS as u64) as usize;
+        if self.slots[s].is_empty() {
+            self.occupied[s / 64] |= 1u64 << (s % 64);
+        }
+        self.slots[s].push(entry);
+        self.wheel_len += 1;
+    }
+
+    /// Advance the cursor until the near run holds the global minimum
     /// (or the queue is proven empty).
     fn settle(&mut self) {
         while self.near.is_empty() {
@@ -236,18 +274,21 @@ impl EventQueue {
         }
     }
 
-    /// Move the cursor one bucket forward: migrate that bucket into the
-    /// near heap, then pull newly-in-window events out of overflow.
+    /// Move the cursor one bucket forward: that bucket becomes the
+    /// (empty) near run, then newly-in-window events leave overflow.
     fn advance_one(&mut self) {
+        debug_assert!(self.near.is_empty(), "migration into a non-empty near run");
         self.wheel_pos += 1;
         let s = (self.wheel_pos % NUM_BUCKETS as u64) as usize;
-        let migrated = self.slots[s].len();
-        if migrated > 0 {
-            self.wheel_len -= migrated;
+        if !self.slots[s].is_empty() {
+            self.wheel_len -= self.slots[s].len();
             self.occupied[s / 64] &= !(1u64 << (s % 64));
-            for e in self.slots[s].drain(..) {
-                self.near.push(Reverse(e));
-            }
+            // Swap buffers: the slot's vec becomes the near run in
+            // O(1), and the slot keeps the near run's empty buffer.
+            let spare = Vec::from(std::mem::take(&mut self.near));
+            let mut run = std::mem::replace(&mut self.slots[s], spare);
+            run.sort_unstable_by_key(|e| (e.time, e.seq));
+            self.near = VecDeque::from(run);
         }
         // Drain overflow events that fit the window now. Migrating the
         // slot first matters: a drained event one full window ahead
@@ -263,14 +304,9 @@ impl EventQueue {
                 unreachable!("peek returned Some")
             };
             if b <= self.wheel_pos {
-                self.near.push(Reverse(e));
+                self.insert_near(e);
             } else {
-                let s = (b % NUM_BUCKETS as u64) as usize;
-                if self.slots[s].is_empty() {
-                    self.occupied[s / 64] |= 1u64 << (s % 64);
-                }
-                self.slots[s].push(e);
-                self.wheel_len += 1;
+                self.push_slot(b, e);
             }
         }
     }
@@ -329,14 +365,54 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_reports_minimum() {
+    fn pop_due_stops_at_horizon() {
         let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop_due(SimTime::MAX).err(), Some(None));
         q.push(SimTime::from_secs(2), EventKind::Start(NodeId(0)));
         q.push(SimTime::from_secs(1), EventKind::Start(NodeId(0)));
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
+        let horizon = SimTime::from_millis(500);
+        assert_eq!(q.pop_due(horizon).err(), Some(Some(SimTime::from_secs(1))));
         assert_eq!(q.len(), 2);
         assert!(!q.is_empty());
+        // The refused minimum stays first in line.
+        let Ok(e) = q.pop_due(SimTime::from_secs(1)) else {
+            panic!("event at the horizon is due")
+        };
+        assert_eq!(e.time, SimTime::from_secs(1));
+        assert_eq!(q.pop_due(horizon).err(), Some(Some(SimTime::from_secs(2))));
+        assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    fn entries_are_32_bytes() {
+        assert_eq!(std::mem::size_of::<EventKind>(), 16);
+        assert_eq!(std::mem::size_of::<EventEntry>(), 32);
+    }
+
+    #[test]
+    fn large_same_instant_burst_pops_fifo() {
+        // Every host's Start at t = 0, then later events: the burst must
+        // pop in insertion order, before anything later.
+        let mut q = EventQueue::new();
+        for i in 0..10_000u64 {
+            q.push(SimTime::ZERO, EventKind::Timer(NodeId(0), i));
+        }
+        for i in 0..100u64 {
+            q.push(
+                SimTime::from_nanos(i * 7_919),
+                EventKind::Timer(NodeId(1), 10_000 + i),
+            );
+        }
+        let got: Vec<(u64, u64)> = std::iter::from_fn(|| q.pop())
+            .map(|e| (e.time.as_nanos(), e.seq))
+            .collect();
+        assert_eq!(got.len(), 10_100);
+        assert!(got[..10_000]
+            .iter()
+            .enumerate()
+            .all(|(i, &(t, seq))| t == 0 && seq == i as u64));
+        // t = 0 from the second batch ties with the burst and follows it.
+        assert!(got.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

@@ -441,16 +441,15 @@ impl Simulator {
             if self.events_processed >= self.event_budget {
                 return StopReason::EventBudget;
             }
-            match self.events.peek_time() {
-                None => return StopReason::Drained,
-                Some(t) if t > horizon => {
-                    self.now = horizon;
+            let ev = match self.events.pop_due(horizon) {
+                Ok(ev) => ev,
+                Err(None) => return StopReason::Drained,
+                Err(Some(_)) => {
+                    // An earlier horizon than `now` leaves the clock
+                    // where it is: time never runs backwards.
+                    self.now = self.now.max(horizon);
                     return StopReason::Horizon;
                 }
-                Some(_) => {}
-            }
-            let Some(ev) = self.events.pop() else {
-                unreachable!("peek_time just returned Some")
             };
             debug_assert!(ev.time >= self.now, "time went backwards");
             self.now = ev.time;
@@ -518,6 +517,7 @@ impl Simulator {
                 self.wake_link(link, now);
             }
             EventKind::LinkFault(link, action) => {
+                let action = *action;
                 let now = self.now;
                 if let Some(trace) = &self.trace {
                     trace.push(
@@ -752,12 +752,14 @@ impl Simulator {
     /// by harnesses to kick an agent that was added with a start far in
     /// the future, or to wake it for a new phase.
     pub fn schedule_start(&mut self, node: NodeId, time: SimTime) {
+        assert!(time >= self.now, "start scheduled in the past");
         self.events.push(time, EventKind::Start(node));
     }
 
     /// Schedule a timer for a host from outside (harness-driven phase
     /// changes).
     pub fn schedule_timer(&mut self, node: NodeId, at: SimTime, token: TimerToken) {
+        assert!(at >= self.now, "timer scheduled in the past");
         self.events.push(at, EventKind::Timer(node, token));
     }
 
@@ -765,6 +767,7 @@ impl Simulator {
     /// congestion windows, capacity changes).
     pub fn schedule_link_reconfig(&mut self, at: SimTime, link: LinkId, cfg: LinkConfig) {
         assert!(link.index() < self.links.len(), "unknown link");
+        assert!(at >= self.now, "reconfiguration scheduled in the past");
         self.events
             .push(at, EventKind::LinkReconfig(link, Box::new(cfg)));
     }
@@ -780,7 +783,7 @@ impl Simulator {
         assert!(link.index() < self.links.len(), "unknown link");
         for ev in &plan.events {
             self.events
-                .push(ev.at, EventKind::LinkFault(link, ev.action));
+                .push(ev.at, EventKind::LinkFault(link, Box::new(ev.action)));
         }
         let rng = stream_rng(self.seed, 0x4000_0000 + link.0 as u64);
         self.links[link.index()].attach_fault(FaultState::new(plan, rng));
@@ -994,6 +997,44 @@ mod tests {
         assert_eq!(sim.run(), StopReason::Drained);
         let sink: &SinkAgent = sim.agent(b).unwrap();
         assert_eq!(sink.packets, 10);
+    }
+
+    #[test]
+    fn earlier_horizon_does_not_rewind_the_clock() {
+        let (mut sim, _, _) = two_hosts_one_router(1);
+        assert_eq!(sim.run_until(SimTime::from_millis(8)), StopReason::Horizon);
+        assert_eq!(sim.run_until(SimTime::from_millis(3)), StopReason::Horizon);
+        assert_eq!(sim.now(), SimTime::from_millis(8));
+    }
+
+    /// A simulator whose clock stands at 8 ms with events still pending.
+    fn sim_at_8ms() -> (Simulator, NodeId, LinkId) {
+        let (mut sim, a, _) = two_hosts_one_router(1);
+        sim.run_until(SimTime::from_millis(8));
+        let link = sim.route(a, NodeId(2)).unwrap();
+        (sim, a, link)
+    }
+
+    #[test]
+    #[should_panic(expected = "start scheduled in the past")]
+    fn schedule_start_rejects_the_past() {
+        let (mut sim, a, _) = sim_at_8ms();
+        sim.schedule_start(a, SimTime::from_millis(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "timer scheduled in the past")]
+    fn schedule_timer_rejects_the_past() {
+        let (mut sim, a, _) = sim_at_8ms();
+        sim.schedule_timer(a, SimTime::from_millis(3), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "reconfiguration scheduled in the past")]
+    fn schedule_link_reconfig_rejects_the_past() {
+        let (mut sim, _, link) = sim_at_8ms();
+        let cfg = LinkConfig::new(1_000_000, SimDuration::ZERO);
+        sim.schedule_link_reconfig(SimTime::from_millis(3), link, cfg);
     }
 
     #[test]

@@ -19,6 +19,7 @@ use csig_netsim::{
     TcpHeader, TimerToken, NO_SACK,
 };
 use rand::Rng;
+use std::collections::hash_map::{Entry, OccupiedEntry};
 use std::collections::HashMap;
 
 /// What a server sends on each accepted connection.
@@ -100,18 +101,19 @@ impl TcpServerAgent {
     pub fn live_connections(&self) -> usize {
         self.conns.len()
     }
+}
 
-    fn reap(&mut self, flow: FlowId) {
-        if let Some(slot) = self.conns.get(&flow) {
-            if slot.conn.is_done() {
-                let Some(slot) = self.conns.remove(&flow) else {
-                    unreachable!("presence checked above")
-                };
-                if self.keep_completed {
-                    self.completed.push((flow, slot.conn.stats));
-                }
-            }
-        }
+/// Remove a finished connection, keeping its stats in `completed` if
+/// `keep` (the entry borrows the connection map, so this cannot take
+/// the whole agent).
+fn retire(
+    slot: OccupiedEntry<'_, FlowId, ServerConn>,
+    keep: bool,
+    completed: &mut Vec<(FlowId, ConnStats)>,
+) {
+    let (flow, slot) = slot.remove_entry();
+    if keep {
+        completed.push((flow, slot.conn.stats));
     }
 }
 
@@ -124,8 +126,9 @@ impl Agent for TcpServerAgent {
             _ => return, // background traffic is absorbed
         };
         let flow = pkt.flow;
-        if !self.conns.contains_key(&flow) {
-            if !hdr.flags.syn() {
+        let mut slot = match self.conns.entry(flow) {
+            Entry::Occupied(slot) => slot,
+            Entry::Vacant(_) if !hdr.flags.syn() => {
                 // Stray segment for a finished/unknown connection: answer
                 // with RST so a retransmitting peer aborts instead of
                 // retrying until its timeout cap (real stacks do this
@@ -143,37 +146,35 @@ impl Agent for TcpServerAgent {
                 }
                 return;
             }
-            self.conns.insert(
-                flow,
-                ServerConn {
-                    conn: TcpConnection::listen(flow, pkt.src, self.cfg.clone()),
-                    app_started: false,
-                },
-            );
-        }
-        let Some(slot) = self.conns.get_mut(&flow) else {
-            unreachable!("inserted above when absent")
+            Entry::Vacant(slot) => slot.insert_entry(ServerConn {
+                conn: TcpConnection::listen(flow, pkt.src, self.cfg.clone()),
+                app_started: false,
+            }),
         };
-        slot.conn.on_segment(ctx, &hdr);
-        if slot.conn.is_established() && !slot.app_started {
-            slot.app_started = true;
+        let server = slot.get_mut();
+        server.conn.on_segment(ctx, &hdr);
+        if server.conn.is_established() && !server.app_started {
+            server.app_started = true;
             match self.policy.sample(ctx.rng()) {
-                None => slot.conn.send_unbounded(ctx),
+                None => server.conn.send_unbounded(ctx),
                 Some(n) => {
-                    slot.conn.send_data(ctx, n);
-                    slot.conn.close(ctx);
+                    server.conn.send_data(ctx, n);
+                    server.conn.close(ctx);
                 }
             }
         }
-        self.reap(flow);
+        if server.conn.is_done() {
+            retire(slot, self.keep_completed, &mut self.completed);
+        }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx, token: TimerToken) {
-        let flow = token_flow(token);
-        if let Some(slot) = self.conns.get_mut(&flow) {
-            slot.conn.on_timer(ctx, token);
+        if let Entry::Occupied(mut slot) = self.conns.entry(token_flow(token)) {
+            slot.get_mut().conn.on_timer(ctx, token);
+            if slot.get().conn.is_done() {
+                retire(slot, self.keep_completed, &mut self.completed);
+            }
         }
-        self.reap(flow);
     }
 
     fn name(&self) -> &'static str {

@@ -39,6 +39,10 @@ grep -Eq '^ *[0-9]+ +[0-9]+ ' "$obsdir/inspect.txt" || { echo "verify: csig insp
 echo "==> cargo bench --workspace --no-run (benches stay compiling)"
 cargo bench --workspace --no-run
 
+echo "==> perfbench (the repository benchmark, its own workspace) builds and passes its tests"
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path perfbench/Cargo.toml
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
