@@ -10,10 +10,11 @@
 //!
 //! Each scenario runs `--reps` times (default 5) and reports the
 //! *fastest* repetition (wall-clock noise only ever slows a run down).
-//! If `results/bench_baseline.json` exists, the report includes the
-//! baseline events/sec and the speedup factor.
+//! The figures are for the host they were measured on; a speed claim
+//! is an A/B of two builds on one host, not a ratio against a number
+//! recorded elsewhere.
 //!
-//! Usage: `bench_netsim [--reps N] [--out PATH] [--baseline PATH]`
+//! Usage: `bench_netsim [--reps N] [--out PATH]`
 
 use csig_netsim::{LinkConfig, SimDuration, Simulator};
 use csig_tcp::{ClientBehavior, ServerSendPolicy, TcpClientAgent, TcpConfig, TcpServerAgent};
@@ -139,7 +140,6 @@ fn json_escape(s: &str) -> String {
 fn main() {
     let mut reps: u32 = 5;
     let mut out = String::from("BENCH_netsim.json");
-    let mut baseline_path = String::from("results/bench_baseline.json");
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
@@ -151,10 +151,6 @@ fn main() {
             "--out" => {
                 i += 1;
                 out.clone_from(&args[i]);
-            }
-            "--baseline" => {
-                i += 1;
-                baseline_path.clone_from(&args[i]);
             }
             other => {
                 eprintln!("unknown argument: {other}");
@@ -168,22 +164,10 @@ fn main() {
     let scenarios: Vec<Scenario> =
         vec![("single_flow", single_flow), ("contended_32", contended_32)];
 
-    // Baseline (if recorded): {"contended_32": {"events_per_sec": ...}, ...}
-    let baseline = std::fs::read_to_string(&baseline_path).ok();
-    let baseline_eps = |name: &str| -> Option<f64> {
-        let text = baseline.as_deref()?;
-        let key = format!("\"{name}\"");
-        let tail = &text[text.find(&key)? + key.len()..];
-        let tail = &tail[tail.find("\"events_per_sec\"")? + "\"events_per_sec\"".len()..];
-        let tail = tail.trim_start_matches([':', ' ']);
-        let end = tail.find([',', '}', '\n']).unwrap_or(tail.len());
-        tail[..end].trim().parse().ok()
-    };
-
     let mut entries = Vec::new();
     for (name, build) in scenarios {
         let m = run_scenario(name, reps, build);
-        let mut fields = format!(
+        let fields = format!(
             "      \"events\": {},\n      \"wall_s\": {:.6},\n      \"events_per_sec\": {:.0},\n      \"ns_per_event\": {:.1},\n      \"peak_pending_events\": {}",
             m.events,
             m.wall_s,
@@ -191,13 +175,6 @@ fn main() {
             m.ns_per_event(),
             m.peak_pending,
         );
-        if let Some(base) = baseline_eps(name) {
-            fields.push_str(&format!(
-                ",\n      \"baseline_events_per_sec\": {:.0},\n      \"speedup\": {:.2}",
-                base,
-                m.events_per_sec() / base
-            ));
-        }
         eprintln!(
             "{:>14}: {:>9} events in {:.3}s = {:>10.0} events/sec ({:.0} ns/event, peak pending {})",
             m.name,

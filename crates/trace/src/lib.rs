@@ -47,9 +47,7 @@ pub mod throughput;
 
 pub use flow::{split_flows, FlowDemux, FlowIsn, FlowTrace, OffsetTracker};
 pub use pcap::write_pcap;
-pub use pcap_import::{
-    assemble_capture, import_pcap, parse_pcap_tcp, ImportError, RawTcpPacket, ServerSelector,
-};
+pub use pcap_import::{import_pcap, ImportError, ServerSelector};
 pub use rtt::{bytes_acked_by, extract_rtt_samples, AckAccountant, RttExtractor, RttSample};
 pub use slow_start::{
     capacity_estimate_bps, detect_slow_start, slow_start_samples, SlowStart, SlowStartTracker,

@@ -67,7 +67,7 @@ pub fn write_pcap<W: Write>(cap: &Capture, mut w: W) -> io::Result<usize> {
     let mut written = 0;
     for rec in &cap.records {
         let Some(h) = rec.pkt.tcp() else { continue };
-        let len = encode_record(&mut buf, rec, h, cap.node);
+        let len = encode_record(&mut buf, rec, h, cap.node)?;
         w.write_all(&buf[..len])?;
         written += 1;
     }
@@ -75,13 +75,14 @@ pub fn write_pcap<W: Write>(cap: &Capture, mut w: W) -> io::Result<usize> {
 }
 
 /// Encode one record (pcap record header, then the IPv4+TCP headers of
-/// the simulated packet) into `buf`; returns the bytes used.
+/// the simulated packet) into `buf`; returns the bytes used. A packet
+/// too long for the 16-bit IPv4 total length is `InvalidInput`.
 fn encode_record(
     buf: &mut [u8; MAX_RECORD],
     rec: &PacketRecord,
     h: &TcpHeader,
     tap: NodeId,
-) -> usize {
+) -> io::Result<usize> {
     let pkt = &rec.pkt;
     // Determine addressing from the tap's point of view.
     let (src_ip, dst_ip, sport, dport) = match rec.dir {
@@ -104,7 +105,12 @@ fn encode_record(
     let nblocks = h.sack.iter().flatten().count();
     let options = if nblocks == 0 { 0 } else { 4 + 8 * nblocks };
     let incl = 20 + 20 + options; // headers only (snapped)
-    let ip_total = (incl + h.payload_len as usize) as u16;
+    let ip_total = u16::try_from(incl + h.payload_len as usize).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "TCP payload too long for an IPv4 packet",
+        )
+    })?;
     let mut flags = 0u8;
     if h.flags.fin() {
         flags |= 0x01;
@@ -155,7 +161,7 @@ fn encode_record(
     }
     let csum = ipv4_checksum(&buf[16..36]);
     buf[26..28].copy_from_slice(&csum.to_be_bytes());
-    n
+    Ok(n)
 }
 
 #[cfg(test)]
@@ -427,6 +433,28 @@ mod tests {
         let mut buf = Vec::new();
         assert_eq!(write_pcap(&golden_capture(), &mut buf).unwrap(), 5);
         assert_eq!(buf, golden);
+    }
+
+    #[test]
+    fn rejects_payload_beyond_the_ipv4_total_length() {
+        let tcp = |payload_len| TcpHeader {
+            seq: 1,
+            ack: 1,
+            flags: TcpFlags::ACK,
+            payload_len,
+            window: 65_535,
+            sack: NO_SACK,
+        };
+        // 40 header bytes plus 65,495 payload bytes is the largest
+        // IPv4 packet; one more byte does not fit the total length.
+        let mut cap = Capture::new(NodeId(0));
+        cap.records
+            .push(tcp_record(Direction::Out, 0, 1, tcp(65_495)));
+        assert_round_trip(&cap);
+        cap.records
+            .push(tcp_record(Direction::Out, 1, 1, tcp(65_496)));
+        let err = write_pcap(&cap, &mut Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 # Performance tracking entry point.
 #
 # Runs the criterion event-loop suite, then the throughput tracker that
-# writes BENCH_netsim.json (events/sec, ns/event, peak pending events,
-# and speedup vs results/bench_baseline.json when that file exists).
+# writes BENCH_netsim.json (events/sec, ns/event, peak pending events).
+# Those figures hold for the host that measured them; compare two builds
+# on one host rather than against a file recorded elsewhere.
 #
 # Usage: scripts/bench.sh [--quick]
 #   --quick   skip the criterion suite; only refresh BENCH_netsim.json

@@ -36,6 +36,18 @@ cmp -s "$obsdir/a.pcap" "$obsdir/b.pcap" || { echo "verify: csig simulate output
 ./target/release/csig inspect "$obsdir/a.pcap" >"$obsdir/inspect.txt" || { echo "verify: csig inspect failed"; exit 1; }
 grep -Eq '^ *[0-9]+ +[0-9]+ ' "$obsdir/inspect.txt" || { echo "verify: csig inspect listed no flow"; exit 1; }
 
+echo "==> csig classify gives the same verdicts whether the server is inferred or named by port"
+./target/release/csig train --reps 1 --out "$obsdir/model.json" >/dev/null 2>&1 || { echo "verify: csig train failed"; exit 1; }
+./target/release/csig simulate --external --seed 11 --out "$obsdir/ext.pcap" >/dev/null 2>&1 || { echo "verify: csig simulate --external failed"; exit 1; }
+for pcap in a ext; do
+  ./target/release/csig classify "$obsdir/$pcap.pcap" --model "$obsdir/model.json" \
+    >"$obsdir/$pcap.inferred.txt" || { echo "verify: csig classify $pcap.pcap failed"; exit 1; }
+  ./target/release/csig classify "$obsdir/$pcap.pcap" --model "$obsdir/model.json" --server-port 5001 \
+    >"$obsdir/$pcap.port.txt" || { echo "verify: csig classify --server-port 5001 $pcap.pcap failed"; exit 1; }
+  grep -Eq '^ *[0-9]+ ' "$obsdir/$pcap.inferred.txt" || { echo "verify: csig classify $pcap.pcap listed no flow"; exit 1; }
+  cmp -s "$obsdir/$pcap.inferred.txt" "$obsdir/$pcap.port.txt" || { echo "verify: csig classify $pcap.pcap differs between server selectors"; exit 1; }
+done
+
 echo "==> cargo bench --workspace --no-run (benches stay compiling)"
 cargo bench --workspace --no-run
 
